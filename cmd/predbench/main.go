@@ -26,9 +26,12 @@
 //
 // Usage:
 //
-//	predbench                               # full suite, all arms
+//	predbench                               # full suite, all arms, report on stdout
 //	predbench -kernels wc,cmp -compare=false
-//	predbench -out BENCH_PR6.json -parallel 1 -predictor btb,gshare
+//	predbench -out bench.json -parallel 1 -predictor btb,gshare
+//
+// The report always goes to stdout; -out additionally writes it to a file.
+// A bare run writes no file, so it never overwrites a committed report.
 //
 // The exit status is non-zero when any suite cell fails or either
 // measured allocations-per-step figure exceeds -max-allocs-per-step
@@ -137,7 +140,7 @@ func run(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("predbench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	kernelList := fs.String("kernels", "", "comma-separated kernel names (default: all)")
-	outPath := fs.String("out", "BENCH_PR6.json", "path of the JSON report (empty = stdout only)")
+	outPath := fs.String("out", "", "also write the JSON report to this file (default: stdout only)")
 	parallel := fs.Int("parallel", 0, "worker pool size for the suite matrix (0 = GOMAXPROCS, 1 = sequential)")
 	compare := fs.Bool("compare", true, "also time the legacy interpreter + map-based simulator baseline")
 	gang := fs.Bool("gang", true, "also time the full-matrix sweep arms: single-pass gang simulator vs fast per-config fanout")

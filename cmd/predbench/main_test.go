@@ -249,3 +249,34 @@ func TestSweepPredictorAxis(t *testing.T) {
 		t.Errorf("error = %v, want unknown predictor", err)
 	}
 }
+
+// TestBareRunWritesNoFile: without -out the report goes to stdout only,
+// so a bare run in a checkout never overwrites a committed report.
+func TestBareRunWritesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	var sb, eb strings.Builder
+	if err := run([]string{"-kernels", "wc", "-compare=false", "-trials", "1", "-gang=false"}, &sb, &eb); err != nil {
+		t.Fatalf("predbench: %v\nstderr:\n%s", err, eb.String())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("bare run wrote %d file(s) into the working directory, first %q", len(entries), entries[0].Name())
+	}
+	if strings.Contains(eb.String(), "wrote ") {
+		t.Errorf("bare run reports writing a file:\n%s", eb.String())
+	}
+	var rep report
+	if err := json.Unmarshal([]byte(sb.String()), &rep); err != nil {
+		t.Fatalf("stdout is not the JSON report: %v", err)
+	}
+	if rep.Fast.Steps <= 0 {
+		t.Errorf("fast arm not measured: %+v", rep.Fast)
+	}
+}

@@ -45,16 +45,16 @@ func TestGraphStructure(t *testing.T) {
 			t.Errorf("B%d unreachable", id)
 		}
 	}
-	if g.RPO[0] != entry {
-		t.Errorf("RPO must start at entry: %v", g.RPO)
+	if g.RPO()[0] != entry {
+		t.Errorf("RPO must start at entry: %v", g.RPO())
 	}
 	// then and els precede join in RPO.
 	pos := map[int]int{}
-	for i, id := range g.RPO {
+	for i, id := range g.RPO() {
 		pos[id] = i
 	}
 	if pos[then] > pos[join] || pos[els] > pos[join] {
-		t.Errorf("RPO order wrong: %v", g.RPO)
+		t.Errorf("RPO order wrong: %v", g.RPO())
 	}
 }
 

@@ -3,23 +3,34 @@
 // liveness, and the dynamic edge profile collected by the emulator.
 package cfg
 
-import "predication/internal/ir"
+import (
+	"fmt"
+	"slices"
+
+	"predication/internal/ir"
+)
 
 // Graph is the control-flow graph of one function, computed on demand from
-// the block structure.  Recompute it (Rebuild, or a fresh NewGraph) after
-// any pass that adds or removes edges.
+// the block structure.  After a pass adds or removes edges, bring it up to
+// date with Update (the blocks the pass touched), Rebuild, or a fresh
+// NewGraph.  A Graph is not safe for concurrent use, not even for reads:
+// the first query after a change recomputes the depth-first order.
 type Graph struct {
 	F     *ir.Func
 	Succs [][]int // block ID -> successor block IDs
-	Preds [][]int // block ID -> predecessor block IDs
-	RPO   []int   // reverse postorder over reachable live blocks
-	rpoIx []int   // block ID -> position in RPO (-1 if unreachable)
+	Preds [][]int // block ID -> predecessor block IDs, ascending
 
-	// Scratch storage retained across Rebuild: formation passes rebuild the
-	// graph after every structural change, so steady-state rebuilds must not
-	// allocate.
+	// The depth-first order is derived from Succs on first use after a
+	// build or an Update; staleOrder marks it out of date.
+	rpo        []int // reverse postorder over reachable live blocks
+	rpoIx      []int // block ID -> position in rpo (-1 if unreachable)
+	staleOrder bool
+
+	// Scratch storage retained across Rebuild, Update and order
+	// recomputation, so repeated maintenance reuses its buffers.
 	sbuf    []int
 	pbuf    []int
+	ubuf    []int
 	counts  []int
 	visited []bool
 	post    []int
@@ -39,6 +50,81 @@ func NewGraph(f *ir.Func) *Graph {
 // reusing the graph's storage.  All previously returned successor and
 // predecessor slices are invalidated.
 func (g *Graph) Rebuild() { g.build() }
+
+// Update brings the graph up to date after a transformation rewrote,
+// created (appended to F.Blocks) or killed the blocks with the given IDs,
+// and touched no other block's control flow.  Only those blocks' successor
+// lists are re-derived; their successors' predecessor lists are patched in
+// place, kept in ascending block ID like build's.  Afterwards the edge
+// lists equal those of a fresh NewGraph, and the depth-first order is
+// recomputed from them when next asked for.  Successor and predecessor
+// slices previously returned for the affected blocks are invalidated.
+func (g *Graph) Update(ids ...int) {
+	for n := len(g.F.Blocks); len(g.Succs) < n; {
+		g.Succs = append(g.Succs, nil)
+		g.Preds = append(g.Preds, nil)
+		g.staleOrder = true // the order's per-block index must grow too
+	}
+	for _, id := range ids {
+		succs := g.ubuf[:0]
+		if b := g.F.Blocks[id]; b != nil && !b.Dead {
+			succs = b.Succs(succs)
+		}
+		g.ubuf = succs
+		old := g.Succs[id]
+		if slices.Equal(old, succs) {
+			continue
+		}
+		for _, s := range old {
+			if !slices.Contains(succs, s) {
+				if i, ok := slices.BinarySearch(g.Preds[s], id); ok {
+					g.Preds[s] = slices.Delete(g.Preds[s], i, i+1)
+				}
+			}
+		}
+		for _, s := range succs {
+			if !slices.Contains(old, s) {
+				if i, ok := slices.BinarySearch(g.Preds[s], id); !ok {
+					g.Preds[s] = slices.Insert(g.Preds[s], i, id)
+				}
+			}
+		}
+		// Every list's capacity ends at its own window of the shared
+		// backing arrays, so growing one in place never clobbers another.
+		if len(succs) <= cap(old) {
+			g.Succs[id] = append(old[:0], succs...)
+		} else {
+			g.Succs[id] = slices.Clone(succs)
+		}
+		g.staleOrder = true
+	}
+}
+
+// Verify compares the graph with a fresh NewGraph of its function and
+// reports the first difference: a successor or predecessor list, a
+// block's reachability, or the reverse postorder.  Tests use it to pin
+// Update to a whole-function rebuild.
+func (g *Graph) Verify() error {
+	want := NewGraph(g.F)
+	n := len(g.F.Blocks)
+	if len(g.Succs) != n || len(g.Preds) != n {
+		return fmt.Errorf("cfg: %s: graph covers %d blocks, function has %d", g.F.Name, len(g.Succs), n)
+	}
+	for id := 0; id < n; id++ {
+		switch {
+		case !slices.Equal(g.Succs[id], want.Succs[id]):
+			return fmt.Errorf("cfg: %s: B%d successors %v, rebuild has %v", g.F.Name, id, g.Succs[id], want.Succs[id])
+		case !slices.Equal(g.Preds[id], want.Preds[id]):
+			return fmt.Errorf("cfg: %s: B%d predecessors %v, rebuild has %v", g.F.Name, id, g.Preds[id], want.Preds[id])
+		case g.Reachable(id) != want.Reachable(id):
+			return fmt.Errorf("cfg: %s: B%d reachable=%v, rebuild has %v", g.F.Name, id, g.Reachable(id), want.Reachable(id))
+		}
+	}
+	if !slices.Equal(g.RPO(), want.RPO()) {
+		return fmt.Errorf("cfg: %s: reverse postorder %v, rebuild has %v", g.F.Name, g.RPO(), want.RPO())
+	}
+	return nil
+}
 
 // grow returns s resized to n elements, all zero, reusing its backing array
 // when possible.  Fresh allocations carry headroom: formation passes add
@@ -106,6 +192,18 @@ func (g *Graph) build() {
 		}
 	}
 
+	g.staleOrder = true
+}
+
+// order recomputes the depth-first order if an edge changed since it was
+// last derived.
+func (g *Graph) order() {
+	if !g.staleOrder {
+		return
+	}
+	g.staleOrder = false
+	f := g.F
+	n := len(f.Blocks)
 	// Depth-first postorder from the entry, reversed.  The explicit stack
 	// visits successors in list order, exactly like the recursive walk.
 	g.visited = grow(g.visited, n)
@@ -132,29 +230,40 @@ func (g *Graph) build() {
 	}
 	g.post = post
 	g.stack = stack[:0]
-	g.RPO = g.RPO[:0]
-	if cap(g.RPO) < len(post) {
-		g.RPO = make([]int, 0, len(post)+len(post)/2+16)
+	g.rpo = g.rpo[:0]
+	if cap(g.rpo) < len(post) {
+		g.rpo = make([]int, 0, len(post)+len(post)/2+16)
 	}
 	for i := len(post) - 1; i >= 0; i-- {
-		g.RPO = append(g.RPO, post[i])
+		g.rpo = append(g.rpo, post[i])
 	}
 	g.rpoIx = grow(g.rpoIx, n)
 	for i := range g.rpoIx {
 		g.rpoIx[i] = -1
 	}
-	for i, id := range g.RPO {
+	for i, id := range g.rpo {
 		g.rpoIx[id] = i
 	}
 }
 
+// RPO returns the reverse postorder over the reachable live blocks.  The
+// slice is valid until the next Update or Rebuild.
+func (g *Graph) RPO() []int {
+	g.order()
+	return g.rpo
+}
+
 // Reachable reports whether the block is reachable from the entry.
-func (g *Graph) Reachable(id int) bool { return g.rpoIx[id] >= 0 }
+func (g *Graph) Reachable(id int) bool {
+	g.order()
+	return g.rpoIx[id] >= 0
+}
 
 // Dominators computes the immediate-dominator array using the
 // Cooper/Harvey/Kennedy iterative algorithm.  idom[entry] == entry;
 // unreachable blocks have idom -1.
 func (g *Graph) Dominators() []int {
+	g.order()
 	n := len(g.F.Blocks)
 	idom := make([]int, n)
 	for i := range idom {
@@ -174,7 +283,7 @@ func (g *Graph) Dominators() []int {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, id := range g.RPO {
+		for _, id := range g.rpo {
 			if id == g.F.Entry {
 				continue
 			}
@@ -226,7 +335,7 @@ type Loop struct {
 func (g *Graph) NaturalLoops() []*Loop {
 	idom := g.Dominators()
 	byHeader := map[int]*Loop{}
-	for _, b := range g.RPO {
+	for _, b := range g.rpo {
 		for _, s := range g.Succs[b] {
 			if !Dominates(idom, s, b) {
 				continue

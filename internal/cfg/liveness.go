@@ -89,11 +89,12 @@ func ComputeLiveness(g *Graph) *Liveness {
 	}
 	out, in := carve(rw), carve(rw)
 	pout, pin := carve(pw), carve(pw)
+	rpo := g.RPO()
 	for changed := true; changed; {
 		changed = false
 		// Iterate blocks in reverse RPO for fast convergence.
-		for i := len(g.RPO) - 1; i >= 0; i-- {
-			id := g.RPO[i]
+		for i := len(rpo) - 1; i >= 0; i-- {
+			id := rpo[i]
 			b := f.Blocks[id]
 			if b == nil || b.Dead {
 				continue // reachable only via a stray edge; no sets

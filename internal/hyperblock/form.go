@@ -2,6 +2,7 @@ package hyperblock
 
 import (
 	"fmt"
+	"slices"
 
 	"predication/internal/cfg"
 	"predication/internal/ir"
@@ -41,18 +42,29 @@ type region struct {
 	weight int64
 }
 
+// graphCheck, when set, runs after every incremental graph update.  Only
+// tests set it, to compare the graph with a whole-function rebuild.
+var graphCheck func(*cfg.Graph)
+
+// update brings g up to date after the blocks ids were rewritten,
+// created or killed.
+func update(g *cfg.Graph, ids ...int) {
+	g.Update(ids...)
+	if graphCheck != nil {
+		graphCheck(g)
+	}
+}
+
 func formFunc(f *ir.Func, prof *cfg.Profile, params Params) ([]int, error) {
 	var heads []int
 	tried := map[int]bool{}
+	// Every transformation reports the blocks it changed, so one graph,
+	// kept current by local updates, serves the whole formation.
 	g := cfg.NewGraph(f)
 	for round := 0; round < 8; round++ {
-		if round > 0 {
-			g.Rebuild()
-		}
 		regions := findRegions(f, g, prof, params, tried)
 		formed := 0
 		touched := map[int]bool{}
-		dirty := false
 		for _, r := range regions {
 			// Regions overlapping blocks already transformed this round
 			// are retried next round against fresh analyses.
@@ -67,18 +79,9 @@ func formFunc(f *ir.Func, prof *cfg.Profile, params Params) ([]int, error) {
 				continue
 			}
 			tried[r.seed] = true
-			// tryForm needs a graph that reflects the current block
-			// structure; rebuild only when an earlier region changed it.
-			if dirty {
-				g.Rebuild()
-				dirty = false
-			}
-			ok, mutated, err := tryForm(f, g, prof, params, r)
+			ok, err := tryForm(f, g, prof, params, r)
 			if err != nil {
 				return nil, err
-			}
-			if mutated {
-				dirty = true
 			}
 			if ok {
 				heads = append(heads, r.seed)
@@ -247,19 +250,19 @@ func hasHazard(b *ir.Block) bool {
 
 // tryForm selects blocks from the region, removes side entrances by tail
 // duplication, and if-converts the selection into the seed block.  It
-// reports whether a hyperblock was formed and whether the function was
-// mutated (tail duplication can rewrite blocks even when no hyperblock
-// results); a non-nil error is an if-conversion precondition failure that
-// invalidates the function.  g must reflect f's current block structure.
-func tryForm(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, r *region) (bool, bool, error) {
-	mutated := false
+// reports whether a hyperblock was formed; a non-nil error is an
+// if-conversion precondition failure that invalidates the function.  g
+// must reflect f's current block structure, and is kept current through
+// every rewrite (tail duplication can rewrite blocks even when no
+// hyperblock results).
+func tryForm(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, r *region) (bool, error) {
 	order, ok := topoOrder(f, g, r.blocks, r.seed)
 	if !ok || len(order) < 2 {
-		return false, mutated, nil
+		return false, nil
 	}
 	entryW := prof.Weight(f.Blocks[r.seed])
 	if entryW < params.MinCount || hasHazard(f.Blocks[r.seed]) {
-		return false, mutated, nil
+		return false, nil
 	}
 
 	// Block selection (§3.1): walk the region in topological order and
@@ -344,41 +347,42 @@ func tryForm(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, r *regi
 	}
 	closeSelection(g, sel, r.seed)
 	if len(sel) < 2 {
-		return false, mutated, nil
+		return false, nil
 	}
 
 	// Side-entrance removal by tail duplication (bounded), dropping blocks
-	// when the duplication budget is exceeded.  g stays current throughout:
-	// only a successful duplication changes the block structure, and only
-	// then is the graph rebuilt.
+	// when the duplication budget is exceeded.  Only a successful
+	// duplication changes the block structure, and it names the blocks
+	// the graph must update.
 	for iter := 0; iter < 32; iter++ {
 		entered := sideEntered(g, sel, r.seed)
 		if entered < 0 {
 			break
 		}
-		if tailDuplicate(f, g, sel, r.seed, entered, params.MaxDupInstrs) {
-			mutated = true
-			g.Rebuild()
+		if changed, ok := tailDuplicate(f, g, sel, r.seed, entered, params.MaxDupInstrs); ok {
+			update(g, changed...)
 		} else {
 			delete(sel, entered)
 			closeSelection(g, sel, r.seed)
 		}
 		if len(sel) < 2 {
-			return false, mutated, nil
+			return false, nil
 		}
 	}
 
 	if sideEntered(g, sel, r.seed) >= 0 {
-		return false, mutated, nil
+		return false, nil
 	}
 	order, ok = topoOrder(f, g, sel, r.seed)
 	if !ok {
-		return false, mutated, nil
+		return false, nil
 	}
 	if err := ifConvert(f, g, sel, r.seed, order); err != nil {
-		return false, true, err
+		return false, err
 	}
-	return true, true, nil
+	// The seed now holds the whole selection; the other blocks are dead.
+	update(g, order...)
+	return true, nil
 }
 
 // blockHeight estimates the block's internal dependence height in cycles:
@@ -438,27 +442,32 @@ func closeSelection(g *cfg.Graph, sel map[int]bool, seed int) {
 	}
 }
 
-// sideEntered returns a selected non-seed block with a predecessor outside
-// the selection, or -1.
+// sideEntered returns the lowest-ID selected non-seed block with a
+// predecessor outside the selection, or -1.  Taking the lowest ID, not
+// whichever the map yields first, keeps formation deterministic.
 func sideEntered(g *cfg.Graph, sel map[int]bool, seed int) int {
+	best := -1
 	for id := range sel {
-		if id == seed {
+		if id == seed || (best >= 0 && id > best) {
 			continue
 		}
 		for _, p := range g.Preds[id] {
 			if !sel[p] {
-				return id
+				best = id
+				break
 			}
 		}
 	}
-	return -1
+	return best
 }
 
 // tailDuplicate clones the selected subgraph reachable from block `from`
 // and redirects every edge from an unselected block into that subgraph to
-// the clones.  It reports false (no change) when the clone would exceed the
-// instruction budget.
-func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budget int) bool {
+// the clones.  It returns the clones and the redirected predecessors (the
+// blocks whose edges changed), or false (no change) when the clone would
+// exceed the instruction budget.  Clones are allocated in ascending order
+// of the blocks they copy, so their IDs do not depend on map order.
+func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budget int) ([]int, bool) {
 	// D = selected blocks reachable from `from` without passing the seed.
 	dup := map[int]bool{}
 	stack := []int{from}
@@ -478,10 +487,16 @@ func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budge
 		}
 	}
 	if cost > budget {
-		return false
+		return nil, false
 	}
-	clone := map[int]int{}
+	ids := make([]int, 0, len(dup))
 	for id := range dup {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	clone := map[int]int{}
+	changed := make([]int, 0, 2*len(ids))
+	for _, id := range ids {
 		ob := f.Blocks[id]
 		nb := f.NewBlock()
 		nb.Name = ob.Name + ".hdup"
@@ -490,8 +505,9 @@ func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budge
 			nb.Instrs = append(nb.Instrs, in.Clone())
 		}
 		clone[id] = nb.ID
+		changed = append(changed, nb.ID)
 	}
-	for id := range dup {
+	for _, id := range ids {
 		nb := f.Blocks[clone[id]]
 		for _, in := range nb.Instrs {
 			switch in.Op {
@@ -506,12 +522,11 @@ func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budge
 		}
 	}
 	// Redirect every unselected predecessor edge into the duplicated set.
-	for id := range dup {
+	// The graph is not updated until the caller gets the changed blocks,
+	// so g.Preds still lists original blocks only.
+	for _, id := range ids {
 		for _, pid := range g.Preds[id] {
 			if sel[pid] {
-				continue
-			}
-			if _, isClone := clone[pid]; isClone {
 				continue
 			}
 			pb := f.Blocks[pid]
@@ -526,7 +541,8 @@ func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budge
 			if pb.Fall == id {
 				pb.Fall = clone[id]
 			}
+			changed = append(changed, pid)
 		}
 	}
-	return true
+	return changed, true
 }

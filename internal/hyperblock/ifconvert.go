@@ -83,7 +83,7 @@ func ifConvert(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed int, order []int
 	// reaching a later position in the linear hyperblock already implies no
 	// earlier exit branch was taken.
 	ipdom := regionPostdoms(f, sel, seed, order)
-	idom := g.Dominators()
+	idom := regionDoms(g, seed, order)
 	inheritFrom := func(bid int) (int, bool) {
 		for a := idom[bid]; ; a = idom[a] {
 			if a < 0 || !sel[a] {
@@ -277,6 +277,44 @@ func alwaysDef(p ir.PReg, guard ir.PReg) *ir.Instr {
 	return &ir.Instr{Op: ir.PredDef, Cmp: ir.EQ,
 		P1: ir.PredDest{P: p, Type: ir.PredOR},
 		A:  ir.Imm(0), B: ir.Imm(0), Guard: guard}
+}
+
+// regionDoms computes the immediate dominators of the selected blocks
+// (listed in topological order, seed first).  Side-entrance removal has
+// made the selection single-entry: every path into a non-seed block passes
+// through the seed and then stays inside the selection, so dominators over
+// the region equal the function-wide ones, at a cost proportional to the
+// region instead of the function.  With edges back into the seed ignored
+// the region is acyclic, so one pass in topological order settles every
+// block.  The seed maps to -1.
+func regionDoms(g *cfg.Graph, seed int, order []int) map[int]int {
+	pos := make(map[int]int, len(order))
+	for i, id := range order {
+		pos[id] = i
+	}
+	idom := map[int]int{seed: -1}
+	for _, id := range order[1:] {
+		d := -1
+		for _, p := range g.Preds[id] {
+			if _, in := pos[p]; !in {
+				continue // cannot happen in a single-entry region; never walk outside it
+			}
+			if d < 0 {
+				d = p
+				continue
+			}
+			for d != p {
+				for pos[d] > pos[p] {
+					d = idom[d]
+				}
+				for pos[p] > pos[d] {
+					p = idom[p]
+				}
+			}
+		}
+		idom[id] = d
+	}
+	return idom
 }
 
 // regionPostdoms computes immediate post-dominators over the selected

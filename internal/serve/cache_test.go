@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -94,14 +95,20 @@ func TestSingleflightCoalesces(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let the workers pile onto the in-flight call, then release it.
+	// Release the in-flight call only once every other caller has joined
+	// it: a caller still on its way into Do when the call completes would
+	// find the key forgotten and execute afresh.
 	for {
-		mu.Lock()
-		started := executions > 0
-		mu.Unlock()
-		if started {
+		g.mu.Lock()
+		joined := 0
+		if c := g.m["key"]; c != nil {
+			joined = c.dups
+		}
+		g.mu.Unlock()
+		if joined == n-1 {
 			break
 		}
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

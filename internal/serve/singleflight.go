@@ -17,6 +17,9 @@ type call struct {
 	wg  sync.WaitGroup
 	val any
 	err error
+	// dups counts the duplicate callers that joined this execution; it is
+	// guarded by group.mu.
+	dups int
 }
 
 // Do executes fn once per concurrent set of callers with the same key.
@@ -29,6 +32,7 @@ func (g *group) Do(key string, fn func() (any, error)) (val any, shared bool, er
 		g.m = map[string]*call{}
 	}
 	if c, ok := g.m[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, true, c.err

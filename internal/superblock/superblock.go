@@ -45,10 +45,23 @@ func Form(p *ir.Program, prof *cfg.Profile, params Params) {
 	}
 }
 
+// graphCheck, when set, runs after every incremental graph update.  Only
+// tests set it, to compare the graph with a whole-function rebuild.
+var graphCheck func(*cfg.Graph)
+
+// update brings g up to date after the blocks ids were rewritten,
+// created or killed.
+func update(g *cfg.Graph, ids ...int) {
+	g.Update(ids...)
+	if graphCheck != nil {
+		graphCheck(g)
+	}
+}
+
 func formFunc(f *ir.Func, prof *cfg.Profile, params Params) {
 	inTrace := map[int]bool{}
-	// One CFG serves consecutive trace selections; it is rebuilt only after
-	// a transformation (tail duplication or merge) changes block structure.
+	// One CFG serves the whole formation: tail duplication and merging
+	// report the blocks they change, and the graph updates just those.
 	g := cfg.NewGraph(f)
 	// Profile weights are fixed for the whole formation, so the candidate
 	// seeds can be ranked once up front instead of rescanning every block
@@ -65,7 +78,7 @@ func formFunc(f *ir.Func, prof *cfg.Profile, params Params) {
 		if params.MinCount > 0 {
 			// Drop permanently ineligible entries (traced or dead) while
 			// scanning; unreachable blocks are skipped but kept, since a
-			// later rebuild could in principle see them differently.
+			// later update could in principle see them differently.
 			seed = -1
 			kept := ranked[:0]
 			for i, id := range ranked {
@@ -95,14 +108,12 @@ func formFunc(f *ir.Func, prof *cfg.Profile, params Params) {
 		if len(trace) < 2 {
 			continue
 		}
-		var mutated bool
-		trace, mutated = removeSideEntrances(f, g, params, trace)
+		var changed []int
+		trace, changed = removeSideEntrances(f, g, params, trace)
+		update(g, changed...)
 		if len(trace) >= 2 {
 			merge(f, trace)
-			mutated = true
-		}
-		if mutated {
-			g.Rebuild()
+			update(g, trace...)
 		}
 	}
 }
@@ -227,9 +238,10 @@ func hasHazard(b *ir.Block) bool {
 // removeSideEntrances tail-duplicates the trace suffix from the first block
 // with a predecessor outside the trace, so the trace becomes single entry.
 // If duplication would exceed the budget the trace is truncated instead.
-// g must reflect f's current block structure; the second result reports
-// whether f was rewritten (and g therefore invalidated).
-func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) ([]int, bool) {
+// g must reflect f's current block structure; the second result lists the
+// blocks rewritten or created (the clones and the redirected side-entrance
+// predecessors), which g must be updated with.
+func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) ([]int, []int) {
 	pos := map[int]int{}
 	for i, id := range trace {
 		pos[id] = i
@@ -248,7 +260,7 @@ func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) (
 		}
 	}
 	if first < 0 {
-		return trace, false
+		return trace, nil
 	}
 	// Budget check.
 	dupInstrs := 0
@@ -256,10 +268,11 @@ func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) (
 		dupInstrs += len(f.Blocks[id].Instrs)
 	}
 	if dupInstrs > params.MaxDupInstrs {
-		return trace[:first], false
+		return trace[:first], nil
 	}
 	// Duplicate trace[first:] as a chain of fresh blocks.
 	clone := map[int]int{}
+	var changed []int
 	for _, id := range trace[first:] {
 		ob := f.Blocks[id]
 		nb := f.NewBlock()
@@ -269,6 +282,7 @@ func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) (
 			nb.Instrs = append(nb.Instrs, in.Clone())
 		}
 		clone[id] = nb.ID
+		changed = append(changed, nb.ID)
 	}
 	// Internal edges within the duplicated suffix point at the duplicates.
 	for _, id := range trace[first:] {
@@ -308,9 +322,10 @@ func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) (
 			if pb.Fall == id {
 				pb.Fall = clone[id]
 			}
+			changed = append(changed, pid)
 		}
 	}
-	return trace, true
+	return trace, changed
 }
 
 // merge concatenates the (now single-entry) trace into its head block,
